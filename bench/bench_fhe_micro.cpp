@@ -4,10 +4,13 @@
 //   2) batched-NTT thread scaling at chain lengths {3, 8, 13} (the sub-row
 //      split keeps short chains from capping usable threads at row count),
 //   3) the runtime-level scaling table (1/2/4/8 threads x ring sizes) with
-//      the hoisted-vs-naive rotation column.
+//      the hoisted-vs-naive rotation column,
+//   4) the key-switch row per tier: relinearize + one rotation at N = 8192,
+//      top of a 13-prime chain, one thread, with its NTT tallies.
 // Writes bench_out/fhe_micro.json. If bench/baselines/fhe_micro.json exists
 // (the CI smoke ships it), the run FAILS when a vector tier's forward-NTT
-// speedup over scalar drops below the recorded minimum.
+// speedup over scalar, or the best tier's key-switch speedup over scalar,
+// drops below the recorded minimum.
 //
 // Usage: bench_fhe_micro [quick]   ("quick" restricts ring sizes / grid)
 #include <algorithm>
@@ -89,6 +92,52 @@ struct ScalingRow {
   std::size_t ntts_hoisted = 0;
 };
 
+struct KswitchRow {
+  simd::Tier tier = simd::Tier::kScalar;
+  double ms = 0.0;             // relinearize + one rotation
+  std::size_t ntts_fwd = 0;    // forward NTTs of that pair
+  std::size_t ntts_inv = 0;
+  double speedup = 1.0;        // vs the scalar row
+};
+
+std::vector<KswitchRow> run_kswitch_sweep() {
+  // One thread so the column compares kernels, not the pool.
+  ThreadPool::set_global_threads(1);
+  smartpaf::FheRuntime rt(CkksParams::for_depth(8192, 12, 40), /*seed=*/2025);
+  const auto gk = rt.rotation_keys({1});
+  sp::Rng rng(5);
+  std::vector<double> v(rt.ctx().slot_count());
+  for (auto& x : v) x = rng.uniform(-1.0, 1.0);
+  const Ciphertext ct = rt.encrypt(v);
+  Evaluator& ev = rt.evaluator();
+  const Ciphertext prod = ev.multiply(ct, ct);
+  const auto pair = [&] {
+    Ciphertext c = prod;
+    ev.relinearize_inplace(c, rt.relin_key());
+    ev.rotate(c, 1, *gk);
+  };
+
+  const simd::Tier saved = simd::active_tier();
+  std::vector<KswitchRow> rows;
+  for (simd::Tier t : {simd::Tier::kScalar, simd::Tier::kAvx2, simd::Tier::kAvx512,
+                       simd::Tier::kAvx512Ifma}) {
+    if (!simd::tier_supported(t)) continue;
+    simd::set_tier(t);
+    KswitchRow row;
+    row.tier = t;
+    ev.counters.reset();
+    pair();
+    row.ntts_fwd = ev.counters.ntts_forward;
+    row.ntts_inv = ev.counters.ntts_inverse;
+    row.ms = time_op(7, pair);
+    rows.push_back(row);
+  }
+  simd::set_tier(saved);
+  ThreadPool::set_global_threads(ThreadPool::env_threads());
+  for (KswitchRow& r : rows) r.speedup = rows.front().ms / std::max(r.ms, 1e-9);
+  return rows;
+}
+
 std::vector<TierRow> run_tier_sweep() {
   constexpr std::size_t kN = 8192;
   const int log_n = 13;
@@ -106,7 +155,8 @@ std::vector<TierRow> run_tier_sweep() {
 
   const simd::Tier saved = simd::active_tier();
   std::vector<TierRow> rows;
-  for (simd::Tier t : {simd::Tier::kScalar, simd::Tier::kAvx2, simd::Tier::kAvx512}) {
+  for (simd::Tier t : {simd::Tier::kScalar, simd::Tier::kAvx2, simd::Tier::kAvx512,
+                       simd::Tier::kAvx512Ifma}) {
     if (!simd::tier_supported(t)) continue;
     simd::set_tier(t);
     const simd::Kernels& k = simd::kernels();
@@ -299,6 +349,15 @@ int main(int argc, char** argv) {
                    std::to_string(r.ntts_naive), std::to_string(r.ntts_hoisted)});
   table.print(std::cout);
 
+  // --- Section 4: key switch per tier (relinearize + one rotation) ---
+  const std::vector<KswitchRow> ks_rows = run_kswitch_sweep();
+  Table ks_table({"tier", "relin_plus_rotate_ms", "speedup", "fwd_ntts", "inv_ntts"});
+  for (const KswitchRow& r : ks_rows)
+    ks_table.add_row({simd::tier_name(r.tier), Table::num(r.ms, 3), Table::num(r.speedup, 2),
+                      std::to_string(r.ntts_fwd), std::to_string(r.ntts_inv)});
+  std::printf("[bench] key switch at N=8192, 13 primes, top level, 1 thread\n");
+  ks_table.print(std::cout);
+
   // JSON trajectory for plotting across PRs.
   const std::string json_path = bench::out_dir() + "/fhe_micro.json";
   if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
@@ -333,6 +392,15 @@ int main(int argc, char** argv) {
                    "\"fwd_ntts_hoisted\": %zu}%s\n",
                    r.n, r.threads, r.ntt_roundtrip_ms, r.mult_ms, r.rot_naive_ms, r.rot_hoisted_ms,
                    r.ntts_naive, r.ntts_hoisted, i + 1 < rows.size() ? "," : "");
+    }
+    std::fprintf(f, "  ],\n  \"kswitch\": [\n");
+    for (std::size_t i = 0; i < ks_rows.size(); ++i) {
+      const KswitchRow& r = ks_rows[i];
+      std::fprintf(f,
+                   "    {\"tier\": \"%s\", \"relin_plus_rotate_ms\": %.4f, "
+                   "\"speedup\": %.3f, \"fwd_ntts\": %zu, \"inv_ntts\": %zu}%s\n",
+                   simd::tier_name(r.tier), r.ms, r.speedup, r.ntts_fwd, r.ntts_inv,
+                   i + 1 < ks_rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
@@ -369,6 +437,18 @@ int main(int argc, char** argv) {
         std::printf("[bench] %s fwd-NTT speedup %.2fx within baseline >= %.2fx (%s)\n",
                     simd::tier_name(r.tier), r.fwd_speedup, floor, path);
       }
+    }
+    // Key switch: the best supported tier against scalar. Gated only when
+    // that tier is avx512 or better: the avx2 table runs the lift and inner
+    // product in scalar, so its row measures within noise of scalar.
+    const double ks_floor = json_number(ss.str(), "min_kswitch_speedup_best_tier");
+    if (!std::isnan(ks_floor) && ks_rows.back().tier >= simd::Tier::kAvx512) {
+      const KswitchRow& best = ks_rows.back();
+      const bool pass = best.speedup >= ks_floor;
+      std::printf("[bench] %s%s key-switch speedup %.2fx %s baseline %.2fx (%s)\n",
+                  pass ? "" : "FAIL: ", simd::tier_name(best.tier), best.speedup,
+                  pass ? "within" : "below", ks_floor, path);
+      ok = ok && pass;
     }
     break;
   }

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/aligned.h"
 #include "common/check.h"
 #include "common/thread_pool.h"
+#include "fhe/ntt.h"
 #include "fhe/simd/simd.h"
 
 namespace sp::fhe {
@@ -15,30 +17,10 @@ void check_scale_close(double a, double b) {
             "Evaluator: scale mismatch between operands");
 }
 
-/// Rescale-style exact division step shared by rescale (divisor = chain
-/// prime) and key-switch mod-down (divisor = special prime): given the
-/// divisor's residue row, subtract its centered lift from every remaining
-/// row and multiply by divisor^-1 mod that row's prime.
-void div_exact_rows(RnsPoly& poly, const u64* divisor_row, const Modulus& divisor_mod,
-                    const std::vector<u64>& inv_mod_rows) {
-  const std::size_t n = poly.n();
-  const u64 d = divisor_mod.value();
-  sp::parallel_for(0, static_cast<std::size_t>(poly.row_count()), [&](std::size_t jj) {
-    const int j = static_cast<int>(jj);
-    const Modulus& m = poly.row_mod(j);
-    const u64 inv = inv_mod_rows[jj];
-    const u64 inv_shoup = shoup_precompute(inv, m.value());
-    u64* r = poly.row(j);
-    for (std::size_t i = 0; i < n; ++i) {
-      const u64 x = divisor_row[i];
-      const std::int64_t centered =
-          x > d / 2 ? static_cast<std::int64_t>(x) - static_cast<std::int64_t>(d)
-                    : static_cast<std::int64_t>(x);
-      const u64 lift = m.from_signed(centered);
-      r[i] = mul_shoup(m.sub(r[i], lift), inv, inv_shoup, m.value());
-    }
-  });
-}
+/// Elements per task when row work is tiled for the pool.
+constexpr std::size_t kRowTile = 4096;
+
+std::size_t row_tiles(std::size_t n) { return n >= kRowTile ? n / kRowTile : 1; }
 
 }  // namespace
 
@@ -130,8 +112,7 @@ Ciphertext Evaluator::multiply(const Ciphertext& a, const Ciphertext& b) const {
                          {&p2, &b.parts[1]}};
   const std::size_t rows = static_cast<std::size_t>(p0.row_count());
   const std::size_t n = p0.n();
-  constexpr std::size_t kTile = 4096;
-  const std::size_t tiles = n >= kTile ? n / kTile : 1;
+  const std::size_t tiles = row_tiles(n);
   const std::size_t len = n / tiles;
   const simd::Kernels& k = simd::kernels();
   sp::parallel_for(0, 4 * rows * tiles, [&](std::size_t u) {
@@ -151,42 +132,45 @@ Ciphertext Evaluator::multiply(const Ciphertext& a, const Ciphertext& b) const {
   return out;
 }
 
-std::vector<RnsPoly> Evaluator::decompose_digits(const RnsPoly& d_coeff) const {
-  sp::check(!d_coeff.is_ntt() && !d_coeff.has_special(),
-            "decompose_digits: expects coefficient form over chain rows");
-  const int l = d_coeff.q_count();
+std::vector<RnsPoly> Evaluator::decompose_digits(const RnsPoly& d_ntt) const {
+  sp::check(d_ntt.is_ntt() && !d_ntt.has_special(),
+            "decompose_digits: expects NTT form over chain rows");
+  const int l = d_ntt.q_count();
   const int rows = l + 1;  // + special
   const std::size_t n = ctx_->n();
+  RnsPoly d = d_ntt;
+  d.from_ntt();
+  counters.ntts_inverse += static_cast<std::size_t>(l);
 
-  std::vector<RnsPoly> digits(static_cast<std::size_t>(l));
-  for (auto& digit : digits)
-    digit = RnsPoly(ctx_, l, /*with_special=*/true, /*ntt_form=*/false);
-  // Centered lift of digit i's residue row into the extended basis — every
-  // (digit, target row) pair is independent, so the lift parallelizes at
-  // l*(l+1) granularity instead of l.
+  std::vector<RnsPoly> digits;
+  digits.reserve(static_cast<std::size_t>(l));
+  for (int i = 0; i < l; ++i)
+    digits.emplace_back(ctx_, l, /*with_special=*/true, /*ntt_form=*/true, RnsPoly::Uninit{});
+  // Centered lift of digit i's residue row into every other row of the
+  // extended basis; every (digit, target row) pair is independent. The lift
+  // of row i into q_i is row i itself, so its NTT form is copied as is.
+  const simd::Kernels& k = simd::kernels();
   sp::parallel_for(0, static_cast<std::size_t>(l * rows), [&](std::size_t u) {
     const int i = static_cast<int>(u / static_cast<std::size_t>(rows));
     const int t = static_cast<int>(u % static_cast<std::size_t>(rows));
-    const u64 qi = ctx_->q(i).value();
     RnsPoly& digit = digits[static_cast<std::size_t>(i)];
-    const u64* src = d_coeff.row(i);
-    const Modulus& m = digit.row_mod(t);
-    u64* dst = digit.row(t);
-    for (std::size_t j = 0; j < n; ++j) {
-      const u64 x = src[j];
-      const std::int64_t centered =
-          x > qi / 2 ? static_cast<std::int64_t>(x) - static_cast<std::int64_t>(qi)
-                     : static_cast<std::int64_t>(x);
-      dst[j] = m.from_signed(centered);
-    }
+    if (t == i)
+      std::copy(d_ntt.row(i), d_ntt.row(i) + n, digit.row(t));
+    else
+      k.lift_centered(digit.row(t), d.row(i), n, ctx_->q(i).value(), digit.row_mod(t).value());
   });
-  // All l*(l+1) forward NTTs go out as one batch, so sub-row splitting sees
-  // the full row set at once.
-  std::vector<RnsPoly*> ptrs;
-  ptrs.reserve(digits.size());
-  for (auto& digit : digits) ptrs.push_back(&digit);
-  RnsPoly::to_ntt_batch(ptrs);
-  counters.ntts_forward += static_cast<std::size_t>(l * rows);
+  // The l^2 lifted rows go out as one batch, so sub-row splitting sees the
+  // full row set at once.
+  std::vector<NttJob> jobs;
+  jobs.reserve(static_cast<std::size_t>(l * l));
+  for (int i = 0; i < l; ++i)
+    for (int t = 0; t < rows; ++t)
+      if (t != i) {
+        RnsPoly& digit = digits[static_cast<std::size_t>(i)];
+        jobs.push_back({digit.row(t), &digit.row_ntt(t)});
+      }
+  ntt_forward_batch(jobs);
+  counters.ntts_forward += jobs.size();
   return digits;
 }
 
@@ -194,79 +178,112 @@ std::pair<RnsPoly, RnsPoly> Evaluator::apply_kswitch(const std::vector<RnsPoly>&
                                                      const KSwitchKey& key,
                                                      const std::uint32_t* ntt_perm) const {
   const int l = static_cast<int>(digits.size());
-  const int rows = l + 1;
+  const std::size_t rows = static_cast<std::size_t>(l + 1);
   const int key_q = ctx_->q_count();  // key basis chain size
   const std::size_t n = ctx_->n();
+  const std::size_t tiles = row_tiles(n);
+  const std::size_t len = n / tiles;
 
-  RnsPoly r0(ctx_, l, true, true), r1(ctx_, l, true, true);
-  // Each extended-basis row accumulates its digit inner product
-  // independently; the digit order inside a row is fixed, so sums (and the
-  // final Barrett reductions) are bit-identical for any thread count.
-  sp::parallel_for(0, static_cast<std::size_t>(rows), [&](std::size_t tt) {
-    const int t = static_cast<int>(tt);
+  RnsPoly r0(ctx_, l, true, true, RnsPoly::Uninit{});
+  RnsPoly r1(ctx_, l, true, true, RnsPoly::Uninit{});
+  // Every (row, tile) accumulates its digit inner product independently in
+  // a fixed digit order and ends fully reduced, so the result is the same
+  // for any thread count and any tier.
+  const simd::Kernels& k = simd::kernels();
+  sp::parallel_for(0, rows * tiles, [&](std::size_t u) {
+    const int t = static_cast<int>(u / tiles);
+    const std::size_t off = (u % tiles) * len;
     // Ciphertext chain row t maps to key row t; the special row maps to the
     // key's special row (index key_q).
     const int key_row = (t == l) ? key_q : t;
-    std::vector<u128> acc0(n, 0), acc1(n, 0);
+    std::vector<const u64*> ptrs(3 * static_cast<std::size_t>(l));
+    const u64** dg = ptrs.data();
+    const u64** k0 = dg + l;
+    const u64** k1 = k0 + l;
     for (int i = 0; i < l; ++i) {
-      const u64* dg = digits[static_cast<std::size_t>(i)].row(t);
       const auto& kd = key.digits[static_cast<std::size_t>(i)];
-      const u64* k0 = kd[0].row(key_row);
-      const u64* k1 = kd[1].row(key_row);
-      if (ntt_perm) {
-        for (std::size_t j = 0; j < n; ++j) {
-          const u64 dgj = dg[ntt_perm[j]];
-          acc0[j] += static_cast<u128>(dgj) * k0[j];
-          acc1[j] += static_cast<u128>(dgj) * k1[j];
-        }
-      } else {
-        for (std::size_t j = 0; j < n; ++j) {
-          acc0[j] += static_cast<u128>(dg[j]) * k0[j];
-          acc1[j] += static_cast<u128>(dg[j]) * k1[j];
-        }
-      }
+      // A permuted gather indexes the whole row; a plain one starts at off.
+      dg[i] = digits[static_cast<std::size_t>(i)].row(t) + (ntt_perm ? 0 : off);
+      k0[i] = kd[0].row(key_row) + off;
+      k1[i] = kd[1].row(key_row) + off;
     }
     const Modulus& m = r0.row_mod(t);
-    u64* d0 = r0.row(t);
-    u64* d1 = r1.row(t);
-    for (std::size_t j = 0; j < n; ++j) {
-      d0[j] = m.reduce128(acc0[j]);
-      d1[j] = m.reduce128(acc1[j]);
-    }
+    k.key_dot(r0.row(t) + off, r1.row(t) + off, dg, k0, k1, static_cast<std::size_t>(l),
+              ntt_perm ? ntt_perm + off : nullptr, len, m.value(), m.ratio_hi(),
+              m.ratio_lo());
   });
 
-  mod_down(r0);
-  mod_down(r1);
+  drop_last_row({&r0, &r1});
   return {std::move(r0), std::move(r1)};
 }
 
-void Evaluator::mod_down(RnsPoly& r) const {
-  sp::check(r.has_special() && r.is_ntt(), "mod_down: expects NTT form over Q ∪ {P}");
-  const int l = r.q_count();
+void Evaluator::drop_last_row(const std::vector<RnsPoly*>& polys) const {
+  const RnsPoly& first = *polys.front();
+  const int keep = first.row_count() - 1;
+  sp::check(first.is_ntt() && keep >= 1, "drop_last_row: expects NTT form and >= 2 rows");
+  for (const RnsPoly* p : polys)
+    sp::check(p->q_count() == first.q_count() && p->has_special() == first.has_special() &&
+                  p->is_ntt(),
+              "drop_last_row: polys differ in shape");
+  const bool special = first.has_special();
+  const u64 d = first.row_mod(keep).value();
   const std::size_t n = ctx_->n();
-  r.from_ntt();
-  counters.ntts_inverse += static_cast<std::size_t>(l + 1);
-  std::vector<u64> p_inv(static_cast<std::size_t>(l));
-  for (int j = 0; j < l; ++j) p_inv[static_cast<std::size_t>(j)] = ctx_->p_inv_mod(j);
-  // Copy the special row, drop it, then apply the exact-division step.
-  std::vector<u64> special_row(r.row(l), r.row(l) + n);
-  r.drop_special();
-  div_exact_rows(r, special_row.data(), ctx_->special(), p_inv);
-  r.to_ntt();
-  counters.ntts_forward += static_cast<std::size_t>(l);
-}
+  const std::size_t np = polys.size();
+  const std::size_t nk = static_cast<std::size_t>(keep);
 
-std::pair<RnsPoly, RnsPoly> Evaluator::key_switch(const RnsPoly& d_coeff,
-                                                  const KSwitchKey& key) const {
-  return apply_kswitch(decompose_digits(d_coeff), key, /*ntt_perm=*/nullptr);
+  // The dropped row is discarded afterwards, so it goes back to coefficient
+  // form in place.
+  std::vector<NttJob> inv_jobs;
+  for (RnsPoly* p : polys) inv_jobs.push_back({p->row(keep), &p->row_ntt(keep)});
+  ntt_inverse_batch(inv_jobs);
+
+  // Its centered lift into every remaining row, then to NTT form.
+  sp::AlignedVec<u64> lift;
+  lift.resize(np * nk * n);
+  const simd::Kernels& k = simd::kernels();
+  sp::parallel_for(0, np * nk, [&](std::size_t u) {
+    const RnsPoly& p = *polys[u / nk];
+    const int t = static_cast<int>(u % nk);
+    k.lift_centered(lift.data() + u * n, p.row(keep), n, d, p.row_mod(t).value());
+  });
+  std::vector<NttJob> fwd_jobs;
+  fwd_jobs.reserve(np * nk);
+  for (std::size_t u = 0; u < np * nk; ++u)
+    fwd_jobs.push_back({lift.data() + u * n, &first.row_ntt(static_cast<int>(u % nk))});
+  ntt_forward_batch(fwd_jobs);
+
+  // r_t = (r_t - lift_t) * d^-1 mod q_t.
+  std::vector<std::pair<u64, u64>> inv(nk);
+  for (int t = 0; t < keep; ++t) {
+    const u64 v = special ? ctx_->p_inv_mod(t) : ctx_->q_inv_mod(keep, t);
+    inv[static_cast<std::size_t>(t)] = {v, shoup_precompute(v, first.row_mod(t).value())};
+  }
+  const std::size_t tiles = row_tiles(n);
+  const std::size_t len = n / tiles;
+  sp::parallel_for(0, np * nk * tiles, [&](std::size_t u) {
+    const std::size_t row = u / tiles;
+    const std::size_t off = (u % tiles) * len;
+    RnsPoly& p = *polys[row / nk];
+    const int t = static_cast<int>(row % nk);
+    const u64 q = p.row_mod(t).value();
+    u64* r = p.row(t) + off;
+    k.sub_mod(r, lift.data() + row * n + off, len, q);
+    k.mul_shoup(r, len, inv[row % nk].first, inv[row % nk].second, q);
+  });
+
+  for (RnsPoly* p : polys) {
+    if (special)
+      p->drop_special();
+    else
+      p->drop_last_q();
+  }
+  counters.ntts_inverse += np;
+  counters.ntts_forward += np * nk;
 }
 
 void Evaluator::relinearize_inplace(Ciphertext& ct, const KSwitchKey& rk) const {
   sp::check(ct.size() == 3, "relinearize: ciphertext must have 3 parts");
-  RnsPoly d = ct.parts[2];
-  d.from_ntt();
-  counters.ntts_inverse += static_cast<std::size_t>(d.row_count());
-  auto [r0, r1] = key_switch(d, rk);
+  auto [r0, r1] = apply_kswitch(decompose_digits(ct.parts[2]), rk, /*ntt_perm=*/nullptr);
   ct.parts.pop_back();
   ct.parts[0].add_inplace(r0);
   ct.parts[1].add_inplace(r1);
@@ -275,25 +292,11 @@ void Evaluator::relinearize_inplace(Ciphertext& ct, const KSwitchKey& rk) const 
 
 void Evaluator::rescale_inplace(Ciphertext& ct) const {
   sp::check(ct.level() >= 1, "rescale: no levels remaining");
-  const int last = ct.q_count() - 1;
-  const Modulus& q_last = ctx_->q(last);
-  std::vector<u64> inv(static_cast<std::size_t>(last));
-  for (int j = 0; j < last; ++j) inv[static_cast<std::size_t>(j)] = ctx_->q_inv_mod(last, j);
-  // Inverse and forward conversions of all parts are batched so the NTT
-  // scheduler sees parts x rows at once; the exact-division step between them
-  // parallelizes per row inside div_exact_rows.
+  const Modulus& q_last = ctx_->q(ct.q_count() - 1);
   std::vector<RnsPoly*> parts;
   parts.reserve(ct.parts.size());
   for (auto& part : ct.parts) parts.push_back(&part);
-  RnsPoly::from_ntt_batch(parts);
-  for (auto& part : ct.parts) {
-    std::vector<u64> last_row(part.row(last), part.row(last) + part.n());
-    part.drop_last_q();
-    div_exact_rows(part, last_row.data(), q_last, inv);
-  }
-  RnsPoly::to_ntt_batch(parts);
-  counters.ntts_inverse += ct.parts.size() * static_cast<std::size_t>(last + 1);
-  counters.ntts_forward += ct.parts.size() * static_cast<std::size_t>(last);
+  drop_last_row(parts);
   ct.scale /= static_cast<double>(q_last.value());
   ++counters.rescales;
 }
@@ -308,41 +311,29 @@ u64 Evaluator::galois_element(int steps) const {
   return g;
 }
 
+namespace {
+
+const KSwitchKey& galois_key(const GaloisKeys& gk, u64 g, const char* what) {
+  const auto it = gk.keys.find(g);
+  sp::check(it != gk.keys.end(), what);
+  return it->second;
+}
+
+}  // namespace
+
 Ciphertext Evaluator::rotate(const Ciphertext& ct, int steps, const GaloisKeys& gk) const {
   sp::check(ct.size() == 2, "rotate: relinearize first");
   const u64 g = galois_element(steps);
   if (g == 1) return ct;
-  const auto it = gk.keys.find(g);
-  sp::check(it != gk.keys.end(), "rotate: missing Galois key for requested step");
-
-  RnsPoly c0 = ct.parts[0];
-  RnsPoly c1 = ct.parts[1];
-  RnsPoly::from_ntt_batch({&c0, &c1});
-  counters.ntts_inverse += static_cast<std::size_t>(c0.row_count() + c1.row_count());
-  RnsPoly c0g = apply_galois(c0, g);
-  RnsPoly c1g = apply_galois(c1, g);
-
-  auto [r0, r1] = key_switch(c1g, it->second);
-  c0g.to_ntt();
-  counters.ntts_forward += static_cast<std::size_t>(c0g.row_count());
-  r0.add_inplace(c0g);
-
-  Ciphertext out;
-  out.parts.push_back(std::move(r0));
-  out.parts.push_back(std::move(r1));
-  out.scale = ct.scale;
-  ++counters.rotations;
-  return out;
+  const KSwitchKey& key = galois_key(gk, g, "rotate: missing Galois key for requested step");
+  return rotate_digits(ct, decompose_digits(ct.parts[1]), g, key);
 }
 
 HoistedDecomposition Evaluator::hoist(const Ciphertext& ct) const {
   sp::check(ct.size() == 2, "hoist: relinearize first");
   HoistedDecomposition h;
   h.src = ct;
-  RnsPoly c1 = ct.parts[1];
-  c1.from_ntt();
-  counters.ntts_inverse += static_cast<std::size_t>(c1.row_count());
-  h.digits = decompose_digits(c1);
+  h.digits = decompose_digits(ct.parts[1]);
   return h;
 }
 
@@ -351,32 +342,40 @@ Ciphertext Evaluator::rotate_hoisted(const HoistedDecomposition& h, int steps,
   sp::check(!h.digits.empty(), "rotate_hoisted: empty decomposition");
   const u64 g = galois_element(steps);
   if (g == 1) return h.src;
-  const auto it = gk.keys.find(g);
-  sp::check(it != gk.keys.end(), "rotate_hoisted: missing Galois key for requested step");
+  const KSwitchKey& key =
+      galois_key(gk, g, "rotate_hoisted: missing Galois key for requested step");
+  ++counters.hoisted_rotations;
+  return rotate_digits(h.src, h.digits, g, key);
+}
 
+Ciphertext Evaluator::rotate_digits(const Ciphertext& src, const std::vector<RnsPoly>& digits,
+                                    u64 g, const KSwitchKey& key) const {
   // The decomposition commutes with the automorphism: lifting is
   // coefficient-wise and X -> X^g is a signed coefficient permutation, so
-  // permuting the cached NTT-form digits equals decomposing the rotated
-  // ciphertext — bit for bit — at zero additional NTTs.
+  // permuting the NTT-form digits of c1 equals decomposing the rotated c1 —
+  // bit for bit — at zero additional NTTs.
   const std::vector<std::uint32_t>& table = galois_ntt_table(ctx_->n(), g);
-  auto [r0, r1] = apply_kswitch(h.digits, it->second, table.data());
+  auto [r0, r1] = apply_kswitch(digits, key, table.data());
 
-  // c0 rotates as the same pure NTT-domain permutation (no NTT round-trip).
-  const RnsPoly& c0 = h.src.parts[0];
+  // c0 rotates as the same pure NTT-domain permutation.
+  const RnsPoly& c0 = src.parts[0];
   const std::size_t n = ctx_->n();
-  for (int t = 0; t < r0.row_count(); ++t) {
-    const Modulus& m = r0.row_mod(t);
+  sp::parallel_for(0, static_cast<std::size_t>(r0.row_count()), [&](std::size_t tt) {
+    const int t = static_cast<int>(tt);
+    const u64 q = r0.row_mod(t).value();
     u64* dst = r0.row(t);
-    const u64* src = c0.row(t);
-    for (std::size_t j = 0; j < n; ++j) dst[j] = m.add(dst[j], src[table[j]]);
-  }
+    const u64* c = c0.row(t);
+    for (std::size_t j = 0; j < n; ++j) {
+      const u64 v = dst[j] + c[table[j]];
+      dst[j] = v >= q ? v - q : v;
+    }
+  });
 
   Ciphertext out;
   out.parts.push_back(std::move(r0));
   out.parts.push_back(std::move(r1));
-  out.scale = h.src.scale;
+  out.scale = src.scale;
   ++counters.rotations;
-  ++counters.hoisted_rotations;
   return out;
 }
 

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -209,7 +210,8 @@ class Evaluator {
   void rescale_inplace(Ciphertext& ct) const;
 
   /// @brief Rotates slots left by `steps` (Galois automorphism + key
-  /// switch).
+  /// switch). Runs the same path as hoist() + rotate_hoisted(), so the
+  /// result and the NTT tallies match it; only `hoisted_rotations` differs.
   /// @param ct     2-part source ciphertext
   /// @param steps  slot offset (negative = right rotation); a key for
   ///               galois_element(steps) must exist in `gk`
@@ -225,7 +227,7 @@ class Evaluator {
 
   /// @brief Rotation from a hoisted decomposition: bit-identical to
   /// `rotate(h.src, steps, gk)` while skipping the per-rotation digit
-  /// decomposition and the c0 NTT round-trip entirely.
+  /// decomposition.
   /// @param h      decomposition from hoist()
   /// @param steps  slot offset (step 0 returns h.src unchanged)
   /// @param gk     rotation keys covering galois_element(steps)
@@ -248,25 +250,30 @@ class Evaluator {
   mutable OpCounters counters;
 
  private:
-  /// Lifts each chain-prime residue row of `d_coeff` into the extended basis
-  /// Q ∪ {P} and NTTs it: the hoistable half of hybrid key switching.
-  std::vector<RnsPoly> decompose_digits(const RnsPoly& d_coeff) const;
+  /// Decomposes an NTT-form chain polynomial into its key-switch digits:
+  /// digit i is the centered lift of residue row i into the extended basis
+  /// Q ∪ {P}, in NTT form. Row i of digit i is row i of `d_ntt` itself, so
+  /// only l^2 of the l(l+1) rows need a forward NTT.
+  std::vector<RnsPoly> decompose_digits(const RnsPoly& d_ntt) const;
 
   /// Inner product of the digits with a key-switching key, followed by the
   /// P mod-down; `ntt_perm`, when non-null, applies a Galois slot permutation
-  /// to every digit on the fly (hoisted rotations).
+  /// to every digit on the fly (rotations).
   std::pair<RnsPoly, RnsPoly> apply_kswitch(const std::vector<RnsPoly>& digits,
                                             const KSwitchKey& key,
                                             const std::uint32_t* ntt_perm) const;
 
-  /// Key-switches `d` (coefficient form, q_count chain rows) and returns the
-  /// two NTT-form correction polynomials over the same q_count rows.
-  std::pair<RnsPoly, RnsPoly> key_switch(const RnsPoly& d_coeff,
-                                         const KSwitchKey& key) const;
+  /// Rotation by Galois element `g` from the digits of `src.parts[1]`; the
+  /// shared tail of rotate() and rotate_hoisted().
+  Ciphertext rotate_digits(const Ciphertext& src, const std::vector<RnsPoly>& digits,
+                           u64 g, const KSwitchKey& key) const;
 
-  /// Divides an extended-basis polynomial by the special prime P with
-  /// centered rounding, returning to chain rows in NTT form.
-  void mod_down(RnsPoly& r) const;
+  /// Drops the last row of every poly (the special row, or the last chain
+  /// row) by exact division with centered rounding, in the NTT domain:
+  /// only the dropped row is inverse-NTT'd; its lift into each remaining
+  /// row t is forward-NTT'd and r_t = (r_t - lift_t) * d^-1 mod q_t. Shared
+  /// by the key-switch mod-down and rescale. Polys must share one shape.
+  void drop_last_row(const std::vector<RnsPoly*>& polys) const;
 
   const CkksContext* ctx_;
 };

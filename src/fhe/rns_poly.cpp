@@ -1,6 +1,8 @@
 #include "fhe/rns_poly.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -50,10 +52,16 @@ std::pair<u64, u64> scalar_shoup_cached(u64 v, u64 q) {
 }  // namespace
 
 RnsPoly::RnsPoly(const CkksContext* ctx, int q_count, bool with_special, bool ntt_form)
+    : RnsPoly(ctx, q_count, with_special, ntt_form, Uninit{}) {
+  std::fill(data_.begin(), data_.end(), 0);
+}
+
+RnsPoly::RnsPoly(const CkksContext* ctx, int q_count, bool with_special, bool ntt_form,
+                 Uninit)
     : ctx_(ctx), q_count_(q_count), with_special_(with_special), ntt_(ntt_form) {
   sp::check(ctx != nullptr, "RnsPoly: null context");
   sp::check(q_count >= 1 && q_count <= ctx->q_count(), "RnsPoly: bad q_count");
-  data_.assign(static_cast<std::size_t>(row_count()) * ctx->n(), 0);
+  data_.resize(static_cast<std::size_t>(row_count()) * ctx->n());
 }
 
 const Modulus& RnsPoly::row_mod(int i) const {
@@ -182,8 +190,15 @@ void RnsPoly::set_from_signed(const std::vector<std::int64_t>& coeffs) {
   sp::check(!ntt_, "RnsPoly::set_from_signed: expects coefficient form");
   for (int i = 0; i < row_count(); ++i) {
     const Modulus& m = row_mod(i);
+    const u64 q = m.value();
     u64* a = row(i);
-    for (std::size_t j = 0; j < n(); ++j) a[j] = m.from_signed(coeffs[j]);
+    for (std::size_t j = 0; j < n(); ++j) {
+      // Small coefficients (errors, ternary secrets, most encodings) take a
+      // conditional add; only |v| >= q needs the division.
+      const std::int64_t v = coeffs[j];
+      const u64 mag = v < 0 ? 0 - static_cast<u64>(v) : static_cast<u64>(v);
+      a[j] = mag >= q ? m.from_signed(v) : v < 0 ? q - mag : mag;
+    }
   }
 }
 

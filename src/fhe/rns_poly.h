@@ -23,6 +23,11 @@ class RnsPoly {
   RnsPoly() = default;
   RnsPoly(const CkksContext* ctx, int q_count, bool with_special, bool ntt_form);
 
+  /// Tag for the constructor that leaves the residues uninitialized: for
+  /// buffers every row of which is written before it is read.
+  struct Uninit {};
+  RnsPoly(const CkksContext* ctx, int q_count, bool with_special, bool ntt_form, Uninit);
+
   const CkksContext* context() const { return ctx_; }
   int q_count() const { return q_count_; }
   bool has_special() const { return with_special_; }

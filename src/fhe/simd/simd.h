@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "fhe/modarith.h"
 
@@ -8,14 +9,17 @@ namespace sp::fhe::simd {
 
 /// Vectorized kernel tiers for the RNS hot loops. The active tier is probed
 /// once at startup (CPUID + the flags the build actually compiled), can be
-/// pinned down with `SMARTPAF_SIMD=scalar|avx2|avx512`, and switched at
-/// runtime by tests/benches with `set_tier`.
+/// pinned down with `SMARTPAF_SIMD=scalar|avx2|avx512|avx512ifma`, and
+/// switched at runtime by tests/benches with `set_tier`.
 ///
 /// Hard contract: every tier computes bit-identical results to the scalar
-/// tier for every kernel. The kernels implement exactly the scalar lazy
-/// Harvey/Shoup/Barrett formulas — vector lanes change the schedule, never
-/// the arithmetic — so FHE outputs do not depend on the dispatch decision.
-enum class Tier : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
+/// tier for every kernel. Lazy kernels (NTT butterflies) implement exactly
+/// the scalar lazy Harvey/Shoup/Barrett formulas, so their intermediate
+/// [0, 4q) values agree too. Kernels whose outputs are fully reduced
+/// (`key_dot`, `lift_centered`) may use any exact algorithm: the canonical
+/// residue is unique, so the IFMA tier's 52-bit accumulation lands on the
+/// same bits as the scalar 128-bit one.
+enum class Tier : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2, kAvx512Ifma = 3 };
 
 /// Kernel table for one tier. All pointers are non-null in every published
 /// table. Ranges are contiguous; `n`/`len` may be any value (kernels handle
@@ -57,6 +61,20 @@ struct Kernels {
   // --- Final reductions ---
   /// Folds lazy values < 4q into [0, q) (forward-NTT epilogue).
   void (*reduce_4q)(u64* a, std::size_t n, u64 q);
+
+  // --- Key switching (outputs fully reduced) ---
+  /// Centered lift between moduli: src[i] is a residue mod d read as its
+  /// representative in (-d/2, d/2] (src[i] > d/2 stands for src[i] - d);
+  /// dst[i] = that integer mod q. Inputs < d.
+  void (*lift_centered)(u64* dst, const u64* src, std::size_t n, u64 d, u64 q);
+  /// Key-switch inner product over `count` digits: for j in [0, len),
+  ///   out0[j] = sum_i dg[i][p(j)] * k0[i][j] mod q, out1 likewise with k1,
+  /// where p(j) = perm[j] when `perm` is non-null (a Galois slot
+  /// permutation) and j otherwise. Inputs < q; (ratio_hi, ratio_lo) is the
+  /// modulus' Barrett constant.
+  void (*key_dot)(u64* out0, u64* out1, const u64* const* dg, const u64* const* k0,
+                  const u64* const* k1, std::size_t count, const std::uint32_t* perm,
+                  std::size_t len, u64 q, u64 ratio_hi, u64 ratio_lo);
 };
 
 /// Currently active tier (after the one-time probe / env override).
@@ -74,11 +92,11 @@ bool tier_supported(Tier t);
 /// intended for tests and per-tier bench sweeps.
 bool set_tier(Tier t);
 
-/// "scalar" / "avx2" / "avx512".
+/// "scalar" / "avx2" / "avx512" / "avx512ifma".
 const char* tier_name(Tier t);
 
 /// Parses a SMARTPAF_SIMD value; `*ok` reports whether the string was one of
-/// the three tier names. Exposed so tests can pin the env grammar.
+/// the tier names. Exposed so tests can pin the env grammar.
 Tier parse_tier(const char* s, bool* ok);
 
 namespace detail {
@@ -87,6 +105,15 @@ namespace detail {
 const Kernels* scalar_kernels();
 const Kernels* avx2_kernels();
 const Kernels* avx512_kernels();
+/// The avx512 table with the IFMA (vpmadd52) key_dot kernel.
+const Kernels* avx512ifma_kernels();
+
+/// Scalar key-switch kernels, shared by the tiers without a vector version
+/// (and by the IFMA key_dot for rows whose prime is >= 2^50).
+void lift_centered_scalar(u64* dst, const u64* src, std::size_t n, u64 d, u64 q);
+void key_dot_scalar(u64* out0, u64* out1, const u64* const* dg, const u64* const* k0,
+                    const u64* const* k1, std::size_t count, const std::uint32_t* perm,
+                    std::size_t len, u64 q, u64 ratio_hi, u64 ratio_lo);
 }  // namespace detail
 
 }  // namespace sp::fhe::simd

@@ -403,9 +403,10 @@ void reduce_4q_avx2(u64* a, std::size_t n, u64 q) {
 }
 
 const Kernels kAvx2Kernels = {
-    add_mod_avx2,  sub_mod_avx2,      neg_mod_avx2,      mul_mod_avx2,
+    add_mod_avx2,   sub_mod_avx2,       neg_mod_avx2,   mul_mod_avx2,
     mul_shoup_avx2, fwd_butterfly_avx2, inv_butterfly_avx2, fwd_stage_avx2,
-    inv_stage_avx2, reduce_4q_avx2,
+    inv_stage_avx2, reduce_4q_avx2,     detail::lift_centered_scalar,
+    detail::key_dot_scalar,
 };
 
 }  // namespace

@@ -10,60 +10,12 @@
 
 #if defined(__AVX512F__) && defined(__AVX512DQ__)
 
-#include <immintrin.h>
+#include "fhe/simd/avx512_common.h"
 
 namespace sp::fhe::simd {
 namespace {
 
-constexpr std::size_t kLanes = 8;
-
-inline __m512i load(const u64* p) { return _mm512_loadu_si512(p); }
-inline void store(u64* p, __m512i v) { _mm512_storeu_si512(p, v); }
-
-inline __m512i hi32(__m512i v) { return _mm512_srli_epi64(v, 32); }
-
-inline __m512i mul64_lo(__m512i x, __m512i y) { return _mm512_mullo_epi64(x, y); }
-
-/// High 64 bits of the lanewise 64x64 product (vpmuludq decomposition),
-/// both operands pre-split.
-inline __m512i mul64_hi_pre(__m512i x, __m512i xh, __m512i y, __m512i yh) {
-  const __m512i m32 = _mm512_set1_epi64(0xffffffffLL);
-  const __m512i ll = _mm512_mul_epu32(x, y);
-  const __m512i lh = _mm512_mul_epu32(x, yh);
-  const __m512i hl = _mm512_mul_epu32(xh, y);
-  const __m512i hh = _mm512_mul_epu32(xh, yh);
-  const __m512i cross = _mm512_add_epi64(
-      hi32(ll),
-      _mm512_add_epi64(_mm512_and_si512(lh, m32), _mm512_and_si512(hl, m32)));
-  return _mm512_add_epi64(
-      hh, _mm512_add_epi64(hi32(lh), _mm512_add_epi64(hi32(hl), hi32(cross))));
-}
-
-inline __m512i mul64_hi(__m512i x, __m512i y) {
-  return mul64_hi_pre(x, hi32(x), y, hi32(y));
-}
-
-/// r >= c ? r - c : r. The subtract wraps when r < c, so the unsigned min
-/// picks the in-range representative.
-inline __m512i csub(__m512i r, __m512i c) {
-  return _mm512_min_epu64(r, _mm512_sub_epi64(r, c));
-}
-
-/// Twiddle operand with the Shoup companion's high half pre-split (the
-/// native vpmullq low-half products need no splits).
-struct TwV {
-  __m512i w, ws, ws_hi;
-};
-inline TwV make_tw(__m512i wv, __m512i wsv) { return {wv, wsv, hi32(wsv)}; }
-
-inline __m512i shoup_lazy(__m512i x, const TwV& tw, __m512i q) {
-  const __m512i q_hat = mul64_hi_pre(x, hi32(x), tw.ws, tw.ws_hi);
-  return _mm512_sub_epi64(mul64_lo(x, tw.w), mul64_lo(q_hat, q));
-}
-
-inline __m512i shoup_lazy(__m512i x, __m512i w, __m512i ws, __m512i q) {
-  return shoup_lazy(x, make_tw(w, ws), q);
-}
+using namespace avx512;
 
 /// One vector of forward butterflies: x/y in < 4q, out < 4q. The twiddle may
 /// be per-lane (small-t layouts) or a broadcast.
@@ -442,10 +394,37 @@ void reduce_4q_avx512(u64* a, std::size_t n, u64 q) {
   }
 }
 
+void lift_centered_avx512(u64* dst, const u64* src, std::size_t n, u64 d, u64 q) {
+  const u64 half = d / 2;
+  const __m512i halfv = set1(half);
+  std::size_t j = 0;
+  if (q > half) {
+    const __m512i shift = set1(q - d);
+    for (; j + kLanes <= n; j += kLanes) {
+      const __m512i x = load(src + j);
+      const __mmask8 neg = _mm512_cmpgt_epu64_mask(x, halfv);
+      store(dst + j, _mm512_mask_add_epi64(x, neg, x, shift));
+    }
+  } else {
+    const __m512i qv = set1(q);
+    const __m512i one_shoup = set1(shoup_precompute(1, q));
+    const __m512i d_mod_q = set1(d % q);
+    for (; j + kLanes <= n; j += kLanes) {
+      const __m512i x = load(src + j);
+      const __m512i r = reduce_any(x, one_shoup, qv);
+      const __m512i diff = _mm512_sub_epi64(r, d_mod_q);
+      const __m512i wrapped =
+          _mm512_mask_add_epi64(diff, _mm512_cmplt_epu64_mask(r, d_mod_q), diff, qv);
+      store(dst + j, _mm512_mask_mov_epi64(r, _mm512_cmpgt_epu64_mask(x, halfv), wrapped));
+    }
+  }
+  if (j < n) detail::lift_centered_scalar(dst + j, src + j, n - j, d, q);
+}
+
 const Kernels kAvx512Kernels = {
-    add_mod_avx512,  sub_mod_avx512,      neg_mod_avx512,      mul_mod_avx512,
+    add_mod_avx512,   sub_mod_avx512,       neg_mod_avx512,       mul_mod_avx512,
     mul_shoup_avx512, fwd_butterfly_avx512, inv_butterfly_avx512, fwd_stage_avx512,
-    inv_stage_avx512, reduce_4q_avx512,
+    inv_stage_avx512, reduce_4q_avx512,     lift_centered_avx512, detail::key_dot_scalar,
 };
 
 }  // namespace

@@ -24,6 +24,9 @@ bool cpu_supports(Tier t) {
     case Tier::kAvx512:
       // vpmullq needs DQ; F alone is not enough for the kernel set.
       return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq");
+    case Tier::kAvx512Ifma:
+      return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq") &&
+             __builtin_cpu_supports("avx512ifma");
   }
   return false;
 #else
@@ -39,6 +42,8 @@ const Kernels* tier_table(Tier t) {
       return detail::avx2_kernels();
     case Tier::kAvx512:
       return detail::avx512_kernels();
+    case Tier::kAvx512Ifma:
+      return detail::avx512ifma_kernels();
   }
   return nullptr;
 }
@@ -56,7 +61,8 @@ Tier probe_default() {
     const Tier want = parse_tier(env, &ok);
     if (!ok) {
       std::fprintf(stderr,
-                   "[smartpaf] SMARTPAF_SIMD=%s not in {scalar, avx2, avx512}; "
+                   "[smartpaf] SMARTPAF_SIMD=%s not in {scalar, avx2, avx512, "
+                   "avx512ifma}; "
                    "ignoring\n",
                    env);
     } else if (!tier_supported(want)) {
@@ -70,7 +76,7 @@ Tier probe_default() {
       return want;
     }
   }
-  return clamp_supported(Tier::kAvx512);
+  return clamp_supported(Tier::kAvx512Ifma);
 }
 
 std::atomic<int>& tier_slot() {
@@ -114,6 +120,8 @@ const char* tier_name(Tier t) {
       return "avx2";
     case Tier::kAvx512:
       return "avx512";
+    case Tier::kAvx512Ifma:
+      return "avx512ifma";
   }
   return "?";
 }
@@ -124,6 +132,7 @@ Tier parse_tier(const char* s, bool* ok) {
     if (std::strcmp(s, "scalar") == 0) return Tier::kScalar;
     if (std::strcmp(s, "avx2") == 0) return Tier::kAvx2;
     if (std::strcmp(s, "avx512") == 0) return Tier::kAvx512;
+    if (std::strcmp(s, "avx512ifma") == 0) return Tier::kAvx512Ifma;
   }
   if (ok) *ok = false;
   return Tier::kScalar;

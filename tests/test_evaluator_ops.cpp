@@ -1,7 +1,7 @@
 // Evaluator-level correctness net for the parallel backend work: plaintext
 // parity for the elementwise ops and rotations, bit-exact equivalence of
-// hoisted vs naive rotation, and lazy-relinearization BSGS parity + savings
-// vs the eager schedule.
+// hoisted vs naive rotation, the pinned key-switch / rescale NTT tallies,
+// and lazy-relinearization BSGS parity + savings vs the eager schedule.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -152,23 +152,69 @@ TEST_F(EvaluatorOpsTest, HoistedRotationBitIdenticalToNaive) {
   EXPECT_LT(hoisted_fwd, naive_fwd);
 }
 
-TEST_F(EvaluatorOpsTest, HoistedSingleRotationAlsoSavesNtts) {
+TEST_F(EvaluatorOpsTest, RotateIsHoistPlusRotateHoisted) {
+  // rotate() runs the hoisted path internally: same bits and same NTT
+  // tallies as hoist() + rotate_hoisted(), without counting as hoisted.
   const auto v = random_vec(16);
   const Ciphertext ct = rt_->encrypt(v);
   Evaluator& ev = rt_->evaluator();
 
   ev.counters.reset();
-  const Ciphertext naive = ev.rotate(ct, 2, *gk_);
-  const std::size_t naive_fwd = ev.counters.ntts_forward;
+  const Ciphertext direct = ev.rotate(ct, 2, *gk_);
+  const OpCounters direct_ops = ev.counters;
 
   ev.counters.reset();
   const HoistedDecomposition h = ev.hoist(ct);
   const Ciphertext hoisted = ev.rotate_hoisted(h, 2, *gk_);
-  const std::size_t hoisted_fwd = ev.counters.ntts_forward;
+  const OpCounters hoisted_ops = ev.counters;
 
-  EXPECT_TRUE(bit_identical(naive, hoisted));
-  // The c0 path turns into a pure NTT-domain permutation.
-  EXPECT_LT(hoisted_fwd, naive_fwd);
+  EXPECT_TRUE(bit_identical(direct, hoisted));
+  EXPECT_EQ(direct_ops.ntts_forward.load(), hoisted_ops.ntts_forward.load());
+  EXPECT_EQ(direct_ops.ntts_inverse.load(), hoisted_ops.ntts_inverse.load());
+  EXPECT_EQ(direct_ops.rotations.load(), 1u);
+  EXPECT_EQ(direct_ops.hoisted_rotations.load(), 0u);
+  EXPECT_EQ(hoisted_ops.hoisted_rotations.load(), 1u);
+}
+
+TEST_F(EvaluatorOpsTest, KeySwitchAndRescaleNttTallies) {
+  // Pins the per-op NTT counts at the top level (l = q_count chain rows):
+  //   decomposition: l inverse (c1 or c2 to coefficients), l^2 forward
+  //     (each of the l digits NTTs its l+1 rows except its own, which is
+  //     the input's NTT-form row);
+  //   mod-down of the two key-switch outputs: 2 inverse (the special rows
+  //     only), 2l forward (the special rows' lifts);
+  //   rescale of a k-part ciphertext: k inverse, k(l-1) forward.
+  // A lost saving (inverse-NTTing every row, re-NTTing the own row) fails.
+  const auto v = random_vec(25);
+  const Ciphertext ct = rt_->encrypt(v);
+  Evaluator& ev = rt_->evaluator();
+  const std::size_t l = static_cast<std::size_t>(ct.q_count());
+  ASSERT_EQ(l, 7u);
+  const auto expect_tally = [&](std::size_t fwd, std::size_t inv, const char* what) {
+    EXPECT_EQ(ev.counters.ntts_forward.load(), fwd) << what;
+    EXPECT_EQ(ev.counters.ntts_inverse.load(), inv) << what;
+    ev.counters.reset();
+  };
+
+  Ciphertext prod = ev.multiply(ct, ct);
+  ev.counters.reset();
+  Ciphertext relin = prod;
+  ev.relinearize_inplace(relin, rt_->relin_key());
+  expect_tally(l * l + 2 * l, l + 2, "relinearize");  // 63 / 9
+
+  ev.rotate(ct, 2, *gk_);
+  expect_tally(l * l + 2 * l, l + 2, "rotate");
+
+  const HoistedDecomposition h = ev.hoist(ct);
+  expect_tally(l * l, l, "hoist");  // 49 / 7
+  ev.rotate_hoisted(h, 2, *gk_);
+  expect_tally(2 * l, 2, "rotate_hoisted");  // 14 / 2
+
+  Ciphertext two = ct;
+  ev.rescale_inplace(two);
+  expect_tally(2 * (l - 1), 2, "2-part rescale");  // 12 / 2
+  ev.rescale_inplace(prod);
+  expect_tally(3 * (l - 1), 3, "3-part rescale");  // 18 / 3
 }
 
 TEST_F(EvaluatorOpsTest, GaloisNttPermutationMatchesCoefficientAutomorphism) {

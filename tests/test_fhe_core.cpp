@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/rng.h"
 #include "fhe/modarith.h"
@@ -192,6 +193,27 @@ TEST(RnsPoly, NttMulMatchesScalarConvolutionViaConstant) {
   a.from_ntt();
   EXPECT_EQ(a.row_mod(0).to_signed(a.row(0)[0]), 21);
   EXPECT_EQ(a.row_mod(0).to_signed(a.row(0)[5]), -6);
+}
+
+TEST(RnsPoly, SetFromSignedMatchesFromSignedAtEveryBoundary) {
+  // The conditional-add path (|v| < q) and the division path (|v| >= q) must
+  // both land on Modulus::from_signed, on chain rows and the special row.
+  CkksContext ctx(CkksParams::test_small());
+  RnsPoly a(&ctx, ctx.q_count(), /*with_special=*/true, /*ntt_form=*/false);
+  std::vector<std::int64_t> coeffs(ctx.n(), 0);
+  std::size_t k = 0;
+  for (int r = 0; r < a.row_count(); ++r) {
+    const auto q = static_cast<std::int64_t>(a.row_mod(r).value());
+    for (std::int64_t v : {std::int64_t{1}, q / 2, q - 1, q, q + 1})
+      for (std::int64_t s : {v, -v}) coeffs[k++] = s;
+  }
+  coeffs[k++] = std::numeric_limits<std::int64_t>::min();
+  coeffs[k++] = std::numeric_limits<std::int64_t>::max();
+  ASSERT_LE(k, ctx.n());
+  a.set_from_signed(coeffs);
+  for (int r = 0; r < a.row_count(); ++r)
+    for (std::size_t i = 0; i < ctx.n(); ++i)
+      ASSERT_EQ(a.row(r)[i], a.row_mod(r).from_signed(coeffs[i])) << "row " << r << " i " << i;
 }
 
 TEST(RnsPoly, DropLastPreservesRemainingRows) {

@@ -1,6 +1,6 @@
-// SIMD kernel-layer contract: every compiled tier (scalar / AVX2 / AVX-512)
-// must be bit-identical on every kernel — the dispatch decision can change
-// throughput only, never an FHE result. Covers the raw kernels across sizes
+// SIMD kernel-layer contract: every compiled tier (scalar / AVX2 / AVX-512 /
+// AVX-512 IFMA) must be bit-identical on every kernel — the dispatch decision
+// can change throughput only, never an FHE result. Covers the raw kernels across sizes
 // incl. non-lane-multiple tails and lazy [0, 4q) inputs, the NTT on all
 // tiers, the batched (sub-row split) NTT entry points across thread counts,
 // the flat RnsPoly row-drop layout, and an end-to-end FhePipeline::run
@@ -30,7 +30,8 @@ const std::vector<std::size_t> kSizes = {1, 2, 3, 7, 8, 31, 1023, 1024, 4096, 81
 
 std::vector<simd::Tier> supported_tiers() {
   std::vector<simd::Tier> out;
-  for (simd::Tier t : {simd::Tier::kScalar, simd::Tier::kAvx2, simd::Tier::kAvx512})
+  for (simd::Tier t : {simd::Tier::kScalar, simd::Tier::kAvx2, simd::Tier::kAvx512,
+                       simd::Tier::kAvx512Ifma})
     if (simd::tier_supported(t)) out.push_back(t);
   return out;
 }
@@ -43,6 +44,8 @@ const simd::Kernels* table_for(simd::Tier t) {
       return simd::detail::avx2_kernels();
     case simd::Tier::kAvx512:
       return simd::detail::avx512_kernels();
+    case simd::Tier::kAvx512Ifma:
+      return simd::detail::avx512ifma_kernels();
   }
   return nullptr;
 }
@@ -237,6 +240,8 @@ TEST(SimdDispatch, TierGrammarAndOverride) {
   EXPECT_EQ(simd::parse_tier("avx2", &ok), simd::Tier::kAvx2);
   EXPECT_TRUE(ok);
   EXPECT_EQ(simd::parse_tier("avx512", &ok), simd::Tier::kAvx512);
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(simd::parse_tier("avx512ifma", &ok), simd::Tier::kAvx512Ifma);
   EXPECT_TRUE(ok);
   simd::parse_tier("AVX2", &ok);  // grammar is exact-match lowercase
   EXPECT_FALSE(ok);
